@@ -374,17 +374,17 @@ func floodAllocsPerRun(obs simulator.Observer) int64 {
 // on the default (event) engine, the path every serviced job now takes.
 func floodAllocGuards() error {
 	baseAllocs := floodAllocsPerRun(nil)
-	observedAllocs := floodAllocsPerRun(service.NewProgressBroker().Observer())
+	observedAllocs := floodAllocsPerRun(service.NewProgressBroker().Observer(service.ObserverHooks{}))
 	countedAllocs := floodAllocsPerRun(service.NewProgressBroker().
 		CountSteps(telemetry.NewRegistry().Counter("bench_sim_steps_total", "bench-only step counter")).
-		Observer())
+		Observer(service.ObserverHooks{}))
 	guardTrace := tracelog.NewTrace(tracelog.TraceContext{})
 	guardSpan := guardTrace.StartSpan("run")
 	tracedAllocs := floodAllocsPerRun(service.NewProgressBroker().
 		CountSteps(telemetry.NewRegistry().Counter("bench_sim_steps_total", "bench-only step counter")).
-		AnnotateSteps(func(step int64, queued int) {
+		Observer(service.ObserverHooks{Annotate: func(step int64, queued int) {
 			guardTrace.Annotate(guardSpan, fmt.Sprintf("step %d, %d queued", step, queued))
-		}).Observer())
+		}}))
 	guardTrace.EndSpan(guardSpan)
 	if observedAllocs > baseAllocs {
 		return fmt.Errorf("progress observer added allocations to the hot path (%d -> %d allocs/run)",
@@ -432,19 +432,21 @@ var smokeSparseSpecs = []sparseSpec{
 // benchSparse times each spec under both engines (best of iters runs each)
 // and cross-checks that the two produce bit-identical results.
 func benchSparse(specs []sparseSpec, iters int) ([]sparsePoint, error) {
-	timeRun := func(s sparseSpec, engine string) (float64, hypersolve.Result, error) {
+	timeRun := func(s sparseSpec, engine simulator.Engine) (float64, hypersolve.Result, error) {
 		spec := service.JobSpec{
 			Kind:     s.kind,
 			N:        s.n,
 			Topology: s.topology,
 			Seed:     7,
-			Engine:   engine,
 			Link:     service.LinkSpec{LinkLatency: s.latency},
 		}
 		cfg, arg, err := spec.Build()
 		if err != nil {
 			return 0, hypersolve.Result{}, err
 		}
+		// The engine is a simulator-level setting, not a job option: the
+		// sweep is reached only as the differential reference.
+		cfg.Link.Engine = engine
 		best := 0.0
 		var res hypersolve.Result
 		for i := 0; i < iters; i++ {
@@ -468,11 +470,11 @@ func benchSparse(specs []sparseSpec, iters int) ([]sparsePoint, error) {
 	}
 	out := make([]sparsePoint, 0, len(specs))
 	for _, s := range specs {
-		sweepNs, sweepRes, err := timeRun(s, "sweep")
+		sweepNs, sweepRes, err := timeRun(s, simulator.EngineSweep)
 		if err != nil {
 			return nil, err
 		}
-		eventNs, eventRes, err := timeRun(s, "event")
+		eventNs, eventRes, err := timeRun(s, simulator.EngineEvent)
 		if err != nil {
 			return nil, err
 		}
@@ -605,7 +607,7 @@ func benchFlood(b *testing.B) {
 // be zero.
 func benchFloodObserved(b *testing.B) {
 	topo := mesh.MustTorus(32, 32)
-	obs := service.NewProgressBroker().Observer()
+	obs := service.NewProgressBroker().Observer(service.ObserverHooks{})
 	b.ReportAllocs()
 	var steps int64
 	for i := 0; i < b.N; i++ {
@@ -636,7 +638,7 @@ func benchFloodObserved(b *testing.B) {
 func benchFloodObservedTelemetry(b *testing.B) {
 	topo := mesh.MustTorus(32, 32)
 	steps := telemetry.NewRegistry().Counter("bench_sim_steps_total", "bench-only step counter")
-	obs := service.NewProgressBroker().CountSteps(steps).Observer()
+	obs := service.NewProgressBroker().CountSteps(steps).Observer(service.ObserverHooks{})
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		sim, err := simulator.New(simulator.Config{
@@ -669,9 +671,9 @@ func benchFloodObservedTraced(b *testing.B) {
 	tr := tracelog.NewTrace(tracelog.TraceContext{})
 	span := tr.StartSpan("run")
 	obs := service.NewProgressBroker().CountSteps(steps).
-		AnnotateSteps(func(step int64, queued int) {
+		Observer(service.ObserverHooks{Annotate: func(step int64, queued int) {
 			tr.Annotate(span, fmt.Sprintf("step %d, %d queued", step, queued))
-		}).Observer()
+		}})
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		sim, err := simulator.New(simulator.Config{

@@ -283,18 +283,6 @@ const (
 	LinkQueues = simulator.LinkQueues
 )
 
-// Engine selects the layer-1 inner loop; set it as Config.Engine.
-type Engine = simulator.Engine
-
-// Engines for Config.Engine: the discrete-event engine (the default, skips
-// idle slots and steps) and the paper's step-synchronous sweep. The two are
-// bit-identical on every workload (proven by internal/simulator/difftest);
-// sweep remains as the reference implementation.
-const (
-	EngineEvent = simulator.EngineEvent
-	EngineSweep = simulator.EngineSweep
-)
-
 // ParseTopologyMust is ParseTopology that panics on error, for tests and
 // examples.
 func ParseTopologyMust(spec string) Topology { return mesh.MustParse(spec) }
@@ -393,6 +381,11 @@ type JobProgressBroker = service.ProgressBroker
 
 // NewJobProgressBroker returns an empty progress broker.
 func NewJobProgressBroker() *JobProgressBroker { return service.NewProgressBroker() }
+
+// JobObserverHooks are the per-observer hooks of JobProgressBroker.Observer
+// (a step annotation callback); the zero value publishes every throttled
+// snapshot and annotates nothing.
+type JobObserverHooks = service.ObserverHooks
 
 // JobTrace is a job's span timeline as served by GET /v1/jobs/{id}/trace
 // and rendered by `hyperctl trace`: the job's identity and state plus

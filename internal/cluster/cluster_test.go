@@ -420,18 +420,17 @@ func TestRouterNegativeShardIsNotFound(t *testing.T) {
 	}
 }
 
-// slowSpec is a job that runs until cancelled (within its huge step
-// budget), used to watch live progress through the router. The sweep engine
-// is pinned because the event engine skips the idle latency gaps and
-// finishes the same job in milliseconds.
+// slowSpec is a job that runs for seconds, used to watch live progress
+// through the router: a linear sum chain on a tiny ring over a reliable
+// link that drops 99.5% of transmissions, which the event engine must step
+// through one retransmit at a time.
 func slowSpec() service.JobSpec {
 	return service.JobSpec{
 		Kind:     "sum",
 		N:        500,
 		Topology: "ring:4",
-		Link:     service.LinkSpec{LinkLatency: 50000},
+		Link:     service.LinkSpec{LossRate: 0.995, Reliable: true, RetransmitAfter: 8},
 		MaxSteps: 1 << 40,
-		Engine:   "sweep",
 	}
 }
 
@@ -618,6 +617,27 @@ func TestRouterAdmissionRejectsTrailingGarbage(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("router POST with trailing garbage status = %d, want 400", resp.StatusCode)
+	}
+	for i, svc := range tc.services {
+		if jobs := svc.List(); len(jobs) != 0 {
+			t.Fatalf("backend %d admitted %d jobs from a rejected body", i+1, len(jobs))
+		}
+	}
+}
+
+// TestRouterAdmissionRejectsEngineField: the router shares ReadJobSpec
+// with the daemon, so a spec naming the retired "engine" option is a 400
+// before any backend is contacted.
+func TestRouterAdmissionRejectsEngineField(t *testing.T) {
+	tc := newTestCluster(t, 2)
+	body := `{"kind":"sum","n":20,"topology":"ring:4","engine":"sweep"}`
+	resp, err := tc.server.Client().Post(tc.server.URL+"/v1/jobs", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("router POST with an engine field status = %d, want 400", resp.StatusCode)
 	}
 	for i, svc := range tc.services {
 		if jobs := svc.List(); len(jobs) != 0 {

@@ -97,6 +97,23 @@ func eventually(t *testing.T, d time.Duration, what string, cond func() bool) {
 	}
 }
 
+// waitStandbyCaughtUp waits until the standby has applied every record
+// the primary has journaled so far. The standby's own lag figure is only
+// as fresh as its last pull, which can predate the newest records, so the
+// target is the primary's LSN read now.
+func waitStandbyCaughtUp(t *testing.T, ctx context.Context, rs *replicatedShard) {
+	t.Helper()
+	primary, err := (&service.Client{Base: rs.primarySrv.URL}).ReplicationStatus(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc := &service.Client{Base: rs.standbySrv.URL}
+	eventually(t, 10*time.Second, "standby catch-up", func() bool {
+		st, err := sc.ReplicationStatus(ctx)
+		return err == nil && st.LSN >= primary.LSN && st.LastError == ""
+	})
+}
+
 // submitToShard submits quick jobs with increasing seeds until one lands on
 // the wanted shard (ring placement is deterministic but opaque).
 func submitToShard(t *testing.T, c *service.Client, ctx context.Context, shard int, slow bool) service.Job {
@@ -175,11 +192,7 @@ func TestFailoverEndToEnd(t *testing.T) {
 
 	// Let the standby catch up fully before the kill: asynchronous
 	// replication only guarantees shipped records survive.
-	sc := &service.Client{Base: rs.standbySrv.URL}
-	eventually(t, 10*time.Second, "standby catch-up", func() bool {
-		st, err := sc.ReplicationStatus(ctx)
-		return err == nil && st.Lag == 0 && st.LSN > 0 && st.LastError == ""
-	})
+	waitStandbyCaughtUp(t, ctx, rs)
 
 	// Partition the primary mid-solve.
 	rs.primaryKill.dead.Store(true)
@@ -333,11 +346,7 @@ func TestFailoverReRacesPortfolio(t *testing.T) {
 	})
 
 	// Let the standby catch up fully, then partition the primary mid-race.
-	sc := &service.Client{Base: rs.standbySrv.URL}
-	eventually(t, 10*time.Second, "standby catch-up", func() bool {
-		st, err := sc.ReplicationStatus(ctx)
-		return err == nil && st.Lag == 0 && st.LSN > 0 && st.LastError == ""
-	})
+	waitStandbyCaughtUp(t, ctx, rs)
 	rs.primaryKill.dead.Store(true)
 	eventually(t, 10*time.Second, "promotion", func() bool {
 		h := r.Health(ctx)

@@ -262,18 +262,17 @@ func TestCancelSpeculativePreservesSATVerdicts(t *testing.T) {
 	}
 }
 
-// slowConfig builds a machine whose run spans tens of millions of cheap
-// steps: a linear sum chain over high-latency links on a tiny ring. It pins
-// the sweep engine because the point is a run slow enough to cancel — the
-// event engine skips the idle latency gaps and finishes in milliseconds.
+// slowConfig builds a machine whose run takes seconds: a linear sum chain
+// on a tiny ring over a reliable link that drops 99.5% of transmissions, so
+// every hop waits through about two hundred retransmits and the event engine
+// must step through each one — there are no idle gaps for it to skip.
 func slowConfig() Config {
 	return Config{
 		Topology: mesh.MustRing(4),
 		Mapper:   mapping.NewRoundRobin(),
 		Task:     apps.SumTask(),
-		Link:     simulator.Config{LinkLatency: 50000},
+		Link:     simulator.Config{LossRate: 0.995, Reliable: true, RetransmitAfter: 8},
 		MaxSteps: 1 << 40,
-		Engine:   simulator.EngineSweep,
 	}
 }
 

@@ -244,6 +244,29 @@ func TestReadJobSpecRejectsTrailingGarbage(t *testing.T) {
 	}
 }
 
+// TestSubmitRejectsEngineField: the simulator engine is not a job option,
+// and the admission path rejects unknown fields, so a spec that still
+// names one is a 400 that admits nothing.
+func TestSubmitRejectsEngineField(t *testing.T) {
+	srv, client := newTestServer(t, Config{QueueDepth: 4, Workers: 1})
+	body := `{"kind":"sum","n":20,"topology":"ring:4","engine":"sweep"}`
+	resp, err := srv.Client().Post(srv.URL+"/v1/jobs", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("POST with an engine field status = %d, want 400", resp.StatusCode)
+	}
+	jobs, err := client.List(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(jobs) != 0 {
+		t.Fatalf("rejected spec admitted %d jobs", len(jobs))
+	}
+}
+
 // flakyGetServer answers GET /v1/jobs/1 from a scripted sequence of
 // responses, then keeps serving the last one.
 func flakyGetServer(t *testing.T, script []func(w http.ResponseWriter)) (*httptest.Server, *atomic.Int64) {

@@ -10,6 +10,7 @@ import (
 	"hypersolve/internal/core"
 	"hypersolve/internal/sat"
 	"hypersolve/internal/store"
+	"hypersolve/internal/tracelog"
 )
 
 // satSpec returns a deterministic uf20 SAT spec (no mapper set; tests fill
@@ -247,25 +248,169 @@ func TestPortfolioRecoveryReRaces(t *testing.T) {
 	}
 }
 
-// TestSoloJobHasNoAttemptLedger pins the wire shape: solo jobs carry no
-// attempts or winner fields, before and after a restart.
+// TestSoloJobHasNoAttemptLedger pins the two shapes the one attempt path
+// records. A solo job carries no winner or attempts (before and after a
+// restart), has no attempt span — its run span carries the steps — and
+// streams frames without a strategy. A one-entry portfolio carries the
+// ledger, one winning attempt span and the strategy on its terminal frame.
 func TestSoloJobHasNoAttemptLedger(t *testing.T) {
-	dir := t.TempDir()
-	s1 := New(Config{QueueDepth: 4, Workers: 1, Store: openStore(t, dir)})
-	job, err := s1.Submit(quickSpec())
-	if err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		name      string
+		portfolio []string
+	}{
+		{"solo", nil},
+		{"one-entry portfolio", []string{"rr"}},
 	}
-	done := waitState(t, s1, job.ID.Seq, StateDone, 10*time.Second)
-	if done.Winner != "" || done.Attempts != nil {
-		t.Fatalf("solo job carries race fields: winner=%q attempts=%+v", done.Winner, done.Attempts)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			s1 := New(Config{QueueDepth: 4, Workers: 1, Store: openStore(t, dir)})
+			defer s1.Close()
+			// Park the job behind a blocker so the subscription sees its
+			// live stream, terminal frame included.
+			blocker, err := s1.Submit(slowSpec())
+			if err != nil {
+				t.Fatal(err)
+			}
+			waitState(t, s1, blocker.ID.Seq, StateRunning, 10*time.Second)
+			spec := quickSpec()
+			spec.Portfolio = tc.portfolio
+			job, err := s1.Submit(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			frames, unsubscribe, err := s1.Subscribe(job.ID.Seq)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer unsubscribe()
+			if _, err := s1.Cancel(blocker.ID.Seq); err != nil {
+				t.Fatal(err)
+			}
+			var last Progress
+			stamped := 0
+			for p := range frames {
+				if p.Strategy != "" {
+					stamped++
+				}
+				last = p
+			}
+			if last.State != StateDone {
+				t.Fatalf("stream ended with %+v, want a done frame", last)
+			}
+			done := waitState(t, s1, job.ID.Seq, StateDone, 10*time.Second)
+			jt, ok := s1.Trace(job.ID.Seq)
+			if !ok {
+				t.Fatal("no trace for the finished job")
+			}
+			var attempts []tracelog.Span
+			for _, sp := range jt.Spans {
+				if sp.Name == "attempt" {
+					attempts = append(attempts, sp)
+				}
+			}
+
+			if tc.portfolio == nil {
+				if done.Winner != "" || done.Attempts != nil {
+					t.Fatalf("solo job carries race fields: winner=%q attempts=%+v", done.Winner, done.Attempts)
+				}
+				if len(attempts) != 0 {
+					t.Fatalf("solo job has %d attempt spans, want none", len(attempts))
+				}
+				if spansByName(jt)["run"].Attrs["steps"] == nil {
+					t.Fatalf("solo run span lacks the steps attribute: %+v", spansByName(jt)["run"])
+				}
+				if stamped != 0 {
+					t.Fatalf("solo job streamed %d strategy-stamped frames, want none", stamped)
+				}
+			} else {
+				if done.Winner != "rr" || len(done.Attempts) != 1 || !done.Attempts[0].Winner {
+					t.Fatalf("one-entry portfolio ledger: winner=%q attempts=%+v, want rr winning its only attempt",
+						done.Winner, done.Attempts)
+				}
+				if len(attempts) != 1 || attempts[0].Attrs["winner"] != true || attempts[0].Attrs["strategy"] != "rr" {
+					t.Fatalf("one-entry portfolio attempt spans = %+v, want one winning rr span", attempts)
+				}
+				if last.Strategy != "rr" {
+					t.Fatalf("terminal frame strategy = %q, want rr", last.Strategy)
+				}
+			}
+			s1.Close()
+
+			s2 := New(Config{QueueDepth: 4, Workers: 1, Store: openStore(t, dir)})
+			defer s2.Close()
+			got, _ := s2.Get(job.ID.Seq)
+			if got.Winner != done.Winner || !reflect.DeepEqual(got.Attempts, done.Attempts) {
+				t.Fatalf("restored job race fields: winner=%q attempts=%+v, want winner=%q attempts=%+v",
+					got.Winner, got.Attempts, done.Winner, done.Attempts)
+			}
+		})
 	}
-	s1.Close()
-	s2 := New(Config{QueueDepth: 4, Workers: 1, Store: openStore(t, dir)})
-	defer s2.Close()
-	got, _ := s2.Get(job.ID.Seq)
-	if got.Winner != "" || got.Attempts != nil {
-		t.Fatalf("restored solo job carries race fields: winner=%q attempts=%+v", got.Winner, got.Attempts)
+}
+
+// TestSimStepsCounterMatchesAttempts: hypersolve_sim_steps_total moves by
+// exactly the steps a job's attempts executed, so every step counts once —
+// for a solo job, a one-entry portfolio, and a two-strategy race whose
+// loser is cancelled mid-run.
+func TestSimStepsCounterMatchesAttempts(t *testing.T) {
+	// On this lossy, oversubscribed ring rr solves the sum in a few
+	// milliseconds and under a fifth of the steps "ideal" needs, so the
+	// race is decided long before ideal completes.
+	race := JobSpec{
+		Kind:         "sum",
+		N:            40,
+		Topology:     "ring:4",
+		ProcsPerNode: 8,
+		Seed:         3,
+		MaxSteps:     1 << 40,
+		Link:         LinkSpec{LossRate: 0.99, Reliable: true, RetransmitAfter: 8},
+		Portfolio:    []string{"rr", "ideal"},
+	}
+	oneEntry := quickSpec()
+	oneEntry.Portfolio = []string{"rr"}
+
+	s := New(Config{QueueDepth: 4, Workers: 2})
+	defer s.Close()
+	for _, spec := range []JobSpec{quickSpec(), oneEntry, race} {
+		before := s.metrics.steps.Value()
+		job, err := s.Submit(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		done := waitState(t, s, job.ID.Seq, StateDone, 30*time.Second)
+		want := done.Result.Stats.Steps // a solo job's one attempt
+		if len(spec.Portfolio) > 0 {
+			want = 0
+			for _, a := range done.Attempts {
+				want += a.Steps
+			}
+		}
+		if got := s.metrics.steps.Value() - before; got != want {
+			t.Fatalf("portfolio %v: step counter moved by %d, want the attempts' %d steps (%+v)",
+				spec.Portfolio, got, want, done.Attempts)
+		}
+	}
+
+	// The race's loser started and was cancelled before it could finish.
+	done, _ := s.Get(3)
+	for _, a := range done.Attempts {
+		if a.Winner {
+			continue
+		}
+		solo := race
+		solo.Portfolio = nil
+		solo.Mapper = a.Strategy
+		cfg, arg, err := solo.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		full, err := core.RunOnce(cfg, arg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if a.State != StateCancelled || a.StartedAt.IsZero() || a.Steps >= full.Stats.Steps {
+			t.Fatalf("race loser %+v, want started and cancelled before its %d steps", a, full.Stats.Steps)
+		}
 	}
 }
 

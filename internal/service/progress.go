@@ -5,7 +5,6 @@ import (
 	"sync"
 	"time"
 
-	"hypersolve/internal/simulator"
 	"hypersolve/internal/telemetry"
 )
 
@@ -68,18 +67,12 @@ var ErrTooManySubscribers = errors.New("service: too many event subscribers for 
 // receives. All methods are safe for concurrent use.
 type ProgressBroker struct {
 	// steps accumulates executed simulator steps into the service's
-	// telemetry registry. Deltas are added on the observer's throttled
-	// publish cadence (plus a remainder at Finish), never per step, so
-	// the solve loop's cost is unchanged. Nil (a no-op) outside a
-	// service — set before the broker is shared, read-only after.
+	// telemetry registry. Observers add deltas on their throttled publish
+	// cadence, never per step, so the solve loop's cost is unchanged; the
+	// code that ran the machine adds the tail after the run (see
+	// ProgressObserver.CountedSteps). Nil (a no-op) outside a service —
+	// set before the broker is shared, read-only after.
 	steps *telemetry.Counter
-
-	// annotate, when set, receives each published running snapshot's step
-	// count and queue depth — the service points it at the job's run span
-	// so the trace timeline carries step annotations on the publish
-	// cadence. Like steps, it is invoked only on the throttled publish
-	// path (never per step) and must be set before the broker is shared.
-	annotate func(step int64, queued int)
 
 	mu   sync.Mutex
 	subs map[int]chan Progress
@@ -98,16 +91,6 @@ func NewProgressBroker() *ProgressBroker { return &ProgressBroker{} }
 // broker is shared. Returns the broker for chaining.
 func (b *ProgressBroker) CountSteps(c *telemetry.Counter) *ProgressBroker {
 	b.steps = c
-	return b
-}
-
-// AnnotateSteps attaches a callback invoked with each published running
-// snapshot's step count and queue depth (the service wires the job's
-// trace run span here; the bench harness uses it to measure the
-// tracing-enabled path). Call before the broker is shared. Returns the
-// broker for chaining.
-func (b *ProgressBroker) AnnotateSteps(fn func(step int64, queued int)) *ProgressBroker {
-	b.annotate = fn
 	return b
 }
 
@@ -149,32 +132,12 @@ func (b *ProgressBroker) Publish(p Progress) {
 	}
 }
 
-// Finish publishes the terminal snapshot for a job that reached state, using
-// the result's statistics when available and the last published snapshot
-// otherwise, then closes every subscriber channel.
-func (b *ProgressBroker) Finish(state State, errMsg string, res *JobResult) {
-	b.mu.Lock()
-	p := b.last
-	b.mu.Unlock()
-	p.State = state
-	p.Error = errMsg
-	p.StepsPerSec = 0
-	if res != nil {
-		// Count the steps run since the observer's last publish (all of
-		// them, for a short job that never crossed the publish cadence).
-		b.steps.Add(res.Stats.Steps - p.Step)
-		p.Step = res.Stats.Steps
-		p.Queued = 0
-	}
-	b.Publish(p)
-}
-
-// FinishPortfolio publishes the terminal snapshot of a portfolio race:
-// like Finish, but stamped with the winning strategy and without the
-// steps-counter remainder — the service accounts each attempt's steps in
-// the attempt epilogue, so adding the winner's total here would double
-// count the losers' contributions.
-func (b *ProgressBroker) FinishPortfolio(state State, errMsg, strategy string, res *JobResult) {
+// Finish publishes the terminal snapshot for a job that reached state,
+// using the result's statistics when available and the last published
+// snapshot otherwise, then closes every subscriber channel. strategy is
+// stamped on the frame: a portfolio job's winning strategy, empty for solo
+// jobs and undecided races.
+func (b *ProgressBroker) Finish(state State, errMsg, strategy string, res *JobResult) {
 	b.mu.Lock()
 	p := b.last
 	b.mu.Unlock()
@@ -235,49 +198,52 @@ func (b *ProgressBroker) Subscribe() (<-chan Progress, func(), error) {
 	return ch, cancel, nil
 }
 
+// ObserverHooks are the per-observer hooks of one attempt's progress
+// observer. The zero value publishes every throttled snapshot unstamped and
+// annotates nothing.
+type ObserverHooks struct {
+	// Annotate, when set, receives each publish-cadence step count and
+	// queue depth (the service points it at the attempt's trace span).
+	Annotate func(step int64, queued int)
+
+	// strategy is stamped on every published snapshot, and lead, when
+	// set, publishes a snapshot only while lead(step) reports true. The
+	// service sets both for portfolio attempts: the strategy, and the
+	// race-leader predicate.
+	strategy string
+	lead     func(step int64) bool
+}
+
 // Observer returns a simulator.Observer publishing throttled running
 // snapshots into the broker, stamping elapsed time from the moment of this
-// call (the job's run start). The observer allocates nothing per step: the
-// wall clock is consulted once per progressCheckSteps steps, and a snapshot
-// is published only when ProgressInterval has passed since the last one, so
-// a machine stepping millions of times per second still costs its
-// subscribers (and the solve loop) a handful of snapshots per second.
-func (b *ProgressBroker) Observer() simulator.Observer {
+// call (the attempt's run start). The observer allocates nothing per step:
+// the wall clock is consulted once per progressCheckSteps steps, and a
+// snapshot is published only when ProgressInterval has passed since the
+// last one, so a machine stepping millions of times per second still costs
+// its subscribers (and the solve loop) a handful of snapshots per second.
+// The hooks run only on that throttled cadence, never per step.
+func (b *ProgressBroker) Observer(h ObserverHooks) *ProgressObserver {
 	now := time.Now()
-	return &progressObserver{b: b, started: now, lastPub: now}
+	return &ProgressObserver{b: b, hooks: h, started: now, lastPub: now}
 }
 
-// attemptObserver is Observer for one attempt of a portfolio race: frames
-// are stamped with the attempt's strategy, published only while the
-// attempt leads the race (lead, consulted on the throttled publish
-// cadence), and step annotations land on the attempt's own trace span
-// (annotate; both hooks may be nil). Returned concretely so the service's
-// attempt epilogue can read CountedSteps.
-func (b *ProgressBroker) attemptObserver(strategy string, lead func(step int64) bool, annotate func(step int64, queued int)) *progressObserver {
-	now := time.Now()
-	return &progressObserver{b: b, started: now, lastPub: now, strategy: strategy, lead: lead, annotate: annotate}
-}
-
-type progressObserver struct {
+// ProgressObserver is the simulator.Observer built by
+// ProgressBroker.Observer.
+type ProgressObserver struct {
 	b        *ProgressBroker
+	hooks    ObserverHooks
 	started  time.Time
 	lastPub  time.Time
 	lastStep int64
-
-	// Attempt-scoped hooks (nil on the solo path, where the broker's own
-	// annotate applies and every snapshot publishes).
-	strategy string
-	lead     func(step int64) bool
-	annotate func(step int64, queued int)
 }
 
 // CountedSteps reports how many executed steps this observer has added to
-// the telemetry counter. The attempt epilogue reads it after the run
-// returns (the observer is quiescent by then) to account the tail run
-// since the last publish.
-func (o *progressObserver) CountedSteps() int64 { return o.lastStep }
+// the broker's step counter. Read it after the run returns (the observer
+// is quiescent by then) to count the tail run since the last publish.
+func (o *ProgressObserver) CountedSteps() int64 { return o.lastStep }
 
-func (o *progressObserver) AfterStep(step int64, queued int) {
+// AfterStep implements simulator.Observer.
+func (o *ProgressObserver) AfterStep(step int64, queued int) {
 	if step&(progressCheckSteps-1) != 0 {
 		return
 	}
@@ -286,21 +252,19 @@ func (o *progressObserver) AfterStep(step int64, queued int) {
 	if since < ProgressInterval {
 		return
 	}
-	if o.lead == nil || o.lead(step) {
+	if o.hooks.lead == nil || o.hooks.lead(step) {
 		o.b.Publish(Progress{
 			State:       StateRunning,
 			Step:        step,
 			Queued:      queued,
 			ElapsedMs:   now.Sub(o.started).Milliseconds(),
 			StepsPerSec: float64(step-o.lastStep) / since.Seconds(),
-			Strategy:    o.strategy,
+			Strategy:    o.hooks.strategy,
 		})
 	}
 	o.b.steps.Add(step - o.lastStep)
-	if o.annotate != nil {
-		o.annotate(step, queued)
-	} else if o.b.annotate != nil {
-		o.b.annotate(step, queued)
+	if o.hooks.Annotate != nil {
+		o.hooks.Annotate(step, queued)
 	}
 	o.lastPub = now
 	o.lastStep = step

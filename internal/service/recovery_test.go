@@ -195,3 +195,47 @@ func TestRecoveredHistorySurvivesJSONRoundTrip(t *testing.T) {
 		}
 	}
 }
+
+// TestRecoveryIgnoresRetiredEngineField: a job journaled while specs still
+// carried an "engine" field (the simulator engine is no longer a job
+// option) recovers from the queue and runs to a result bit-identical to a
+// serial run of the same spec.
+func TestRecoveryIgnoresRetiredEngineField(t *testing.T) {
+	spec := satSpec(t, 61)
+	spec.Mapper = "lbn"
+	cfg, arg, err := spec.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	serial, err := core.RunOnce(cfg, arg)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	raw, err := json.Marshal(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fields map[string]any
+	if err := json.Unmarshal(raw, &fields); err != nil {
+		t.Fatal(err)
+	}
+	fields["engine"] = "sweep"
+	if raw, err = json.Marshal(fields); err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	st := openStore(t, dir)
+	sj, err := st.Submit(raw, time.Now().UTC())
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.Close() // crash-equivalent: the job is left queued
+
+	s := New(Config{QueueDepth: 4, Workers: 1, Store: openStore(t, dir)})
+	defer s.Close()
+	done := waitState(t, s, sj.ID, StateDone, 30*time.Second)
+	if done.Raw() == nil || !reflect.DeepEqual(*done.Raw(), serial) {
+		t.Fatalf("recovered job differs from the serial run:\nrecovered: %+v\nserial:    %+v", done.Raw(), serial)
+	}
+}

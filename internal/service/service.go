@@ -114,9 +114,10 @@ type Attempt struct {
 	State      State     `json:"state"`
 	StartedAt  time.Time `json:"started_at,omitzero"`
 	FinishedAt time.Time `json:"finished_at,omitzero"`
-	// Steps is the layer-1 steps this attempt executed (zero for attempts
-	// cancelled before running or interrupted mid-slice).
-	Steps int64 `json:"steps,omitempty"`
+	// Steps is the layer-1 steps this attempt executed, up to the
+	// interruption for a cancelled run (zero for attempts cancelled before
+	// running).
+	Steps int64  `json:"steps,omitempty"`
 	Error string `json:"error,omitempty"`
 	// Winner marks the attempt whose successful result became the job's.
 	Winner bool `json:"winner,omitempty"`
@@ -452,7 +453,11 @@ type jobRun struct {
 	spec       JobSpec
 	built      *buildOut
 	strategies []string
-	portfolio  bool // persist the attempt ledger (len(strategies) may be 1)
+	// portfolio is decided once, from the spec (len(strategies) may be 1):
+	// it selects what the run records — the persisted attempt ledger, a
+	// child span per attempt, strategy-stamped frames and win counts — not
+	// how attempts run.
+	portfolio bool
 
 	started bool // first attempt dequeued; the job is running
 	// ctx is the job-level context (deadline-bounded when the spec asks);
@@ -463,7 +468,7 @@ type jobRun struct {
 
 	attempts []Attempt
 	cancels  []context.CancelFunc // per running attempt; nil otherwise
-	spans    []int64              // per-attempt trace span (0 = none)
+	spans    []int64              // per-attempt span; a solo job's is the run span (0 = not run)
 	lead     []int64              // per-attempt last observed step, atomic
 	settled  int                  // attempts in a terminal state
 	winner   int                  // deciding attempt's index, -1 until decided
@@ -486,6 +491,17 @@ func (jr *jobRun) leadFunc(idx int) func(step int64) bool {
 		}
 		return true
 	}
+}
+
+// winnerStrategy is the strategy a portfolio job's ledger, terminal frame
+// and win counters are stamped with: the successful decider's. It is empty
+// for solo jobs (and a nil jobRun) and for races that failed or were
+// cancelled.
+func (jr *jobRun) winnerStrategy() string {
+	if jr == nil || !jr.portfolio || jr.winner < 0 || jr.winErr != nil {
+		return ""
+	}
+	return jr.strategies[jr.winner]
 }
 
 // next blocks until a queued attempt is available or the service closes
@@ -735,15 +751,7 @@ func (s *Service) finishLocked(id int64, state State, errMsg string, result *Job
 		delete(s.traces, id)
 	}
 	if b := s.brokers[id]; b != nil {
-		if jr := s.runs[id]; jr != nil && jr.portfolio {
-			strat := ""
-			if jr.winner >= 0 && jr.winErr == nil {
-				strat = jr.strategies[jr.winner]
-			}
-			b.FinishPortfolio(state, errMsg, strat, result)
-		} else {
-			b.Finish(state, errMsg, result)
-		}
+		b.Finish(state, errMsg, s.runs[id].winnerStrategy(), result)
 		delete(s.brokers, id)
 	}
 	delete(s.runs, id)
@@ -844,40 +852,29 @@ func (s *Service) runAttempt(it workItem) {
 	s.metrics.attemptsStarted.Inc()
 	actx, acancel := context.WithCancel(jr.ctx)
 	jr.cancels[idx] = acancel
-	var span int64
-	if lt != nil && jr.portfolio {
-		span = lt.tr.StartChild("attempt", jr.runSpan)
-		lt.tr.SetAttr(span, "strategy", strat)
-		jr.spans[idx] = span
+	// Every attempt runs the same way. What a portfolio adds is decided from
+	// the spec and only changes what is recorded: a child span per attempt
+	// (a solo job's attempt span is the run span itself), the strategy on
+	// its SSE frames and a persisted attempt ledger.
+	var tr *tracelog.Trace
+	if lt != nil {
+		tr = lt.tr
 	}
-	var obs simulator.Observer
-	var po *progressObserver
-	if b := s.brokers[id]; b != nil && jr.portfolio {
-		var ann func(step int64, queued int)
-		if lt != nil {
-			// Step annotations land on the attempt's own span, riding the
-			// observer's throttled publish cadence, never the per-step path.
-			tr, sp := lt.tr, span
-			ann = func(step int64, queued int) {
-				tr.Annotate(sp, fmt.Sprintf("step %d, %d queued", step, queued))
-			}
-		}
-		po = b.attemptObserver(strat, jr.leadFunc(idx), ann)
-		obs = po
-	} else if b != nil {
-		if lt != nil {
-			// Solo path: annotations land on the run span itself, same
-			// cadence.
-			tr, sp := lt.tr, jr.runSpan
-			b.annotate = func(step int64, queued int) {
-				tr.Annotate(sp, fmt.Sprintf("step %d, %d queued", step, queued))
-			}
-		}
-		obs = b.Observer()
-	}
+	span := jr.runSpan
+	hooks := ObserverHooks{lead: jr.leadFunc(idx)}
 	if jr.portfolio {
+		span = tr.StartChild("attempt", jr.runSpan)
+		tr.SetAttr(span, "strategy", strat)
+		hooks.strategy = strat
 		s.persistAttemptsLocked(id, jr)
 	}
+	jr.spans[idx] = span
+	// Step annotations ride the observer's throttled publish cadence, never
+	// the per-step path.
+	hooks.Annotate = func(step int64, queued int) {
+		tr.Annotate(span, fmt.Sprintf("step %d, %d queued", step, queued))
+	}
+	obs := s.brokers[id].Observer(hooks)
 	s.mu.Unlock()
 	defer acancel()
 
@@ -891,22 +888,19 @@ func (s *Service) runAttempt(it workItem) {
 	defer s.mu.Unlock()
 	jr.cancels[idx] = nil
 	var steps int64
-	if res != nil {
-		steps = res.Stats.Steps
+	if raw != nil {
+		steps = raw.Stats.Steps
 	}
-	if po != nil && res != nil {
-		// The broker's Finish remainder is solo-only (see FinishPortfolio);
-		// account this attempt's tail — the steps run since its observer's
-		// last publish — here.
-		s.metrics.steps.Add(res.Stats.Steps - po.CountedSteps())
-	}
+	// The observer counted the steps up to its last publish; add the tail,
+	// so every step an attempt executed, interrupted or not, counts once.
+	s.metrics.steps.Add(steps - obs.CountedSteps())
 	switch {
 	case jr.winner < 0 && runErr == nil:
 		jr.winner = idx
 		jr.winRes, jr.winRaw = res, raw
 		jr.attempts[idx].Winner = true
-		if lt != nil && span != 0 {
-			lt.tr.SetAttr(span, "winner", true)
+		if jr.portfolio {
+			tr.SetAttr(span, "winner", true)
 		}
 		s.cancelLosersLocked(id, jr, idx)
 		s.settleAttemptLocked(id, jr, idx, StateDone, "", steps)
@@ -943,23 +937,15 @@ func (s *Service) settleAttemptLocked(id int64, jr *jobRun, idx int, state State
 	if state == StateCancelled {
 		s.metrics.attemptsCancelled.Inc()
 	}
-	if lt := s.traces[id]; lt != nil {
-		if span := jr.spans[idx]; span != 0 {
-			if state == StateCancelled {
-				lt.tr.SetAttr(span, "cancelled", true)
-			}
-			if steps > 0 {
-				lt.tr.SetAttr(span, "steps", steps)
-			}
-			lt.tr.EndSpan(span)
-		} else if !jr.portfolio && jr.runSpan != 0 {
-			// Solo path: the run span itself carries the step count, as it
-			// did before attempts existed.
-			if steps > 0 {
-				lt.tr.SetAttr(jr.runSpan, "steps", steps)
-			}
-			lt.tr.EndSpan(jr.runSpan)
+	if lt := s.traces[id]; lt != nil && jr.spans[idx] != 0 {
+		span := jr.spans[idx]
+		if state == StateCancelled && jr.portfolio {
+			lt.tr.SetAttr(span, "cancelled", true)
 		}
+		if steps > 0 {
+			lt.tr.SetAttr(span, "steps", steps)
+		}
+		lt.tr.EndSpan(span)
 	}
 	jr.settled++
 	if jr.settled == len(jr.attempts) {
@@ -1000,16 +986,12 @@ func (s *Service) finishRaceLocked(id int64, jr *jobRun) {
 		jr.cancel()
 	}
 	if jr.portfolio {
-		if lt := s.traces[id]; lt != nil && jr.runSpan != 0 {
-			lt.tr.EndSpan(jr.runSpan)
-		}
 		s.persistAttemptsLocked(id, jr)
 	}
 	switch {
 	case jr.winner >= 0 && jr.winErr == nil:
 		s.raws[id] = jr.winRaw
-		if jr.portfolio {
-			strat := jr.strategies[jr.winner]
+		if strat := jr.winnerStrategy(); strat != "" {
 			s.adapt.Record(problemClass(jr.spec), strat)
 			s.portfolioWins(strat).Inc()
 		}
@@ -1025,10 +1007,7 @@ func (s *Service) finishRaceLocked(id int64, jr *jobRun) {
 // the store. Failure costs observability only — the in-memory race state
 // stays authoritative for this process. Callers hold s.mu.
 func (s *Service) persistAttemptsLocked(id int64, jr *jobRun) {
-	doc := attemptsDoc{Attempts: jr.attempts}
-	if jr.winner >= 0 && jr.winErr == nil {
-		doc.Winner = jr.strategies[jr.winner]
-	}
+	doc := attemptsDoc{Winner: jr.winnerStrategy(), Attempts: jr.attempts}
 	data, err := json.Marshal(doc)
 	if err != nil {
 		return
@@ -1050,7 +1029,8 @@ func execute(ctx context.Context, spec JobSpec, built *buildOut, strategy string
 	}
 	raw, err := machine.RunContext(ctx, built.arg)
 	if err != nil {
-		return nil, nil, err
+		// An interrupted run still reports the steps it executed.
+		return nil, &raw, err
 	}
 	res := &JobResult{
 		OK:              raw.OK,

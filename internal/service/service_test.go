@@ -13,18 +13,17 @@ import (
 )
 
 // slowSpec is a job that runs for several seconds if never cancelled: a
-// linear sum chain whose ~1000 link hops each spend 50k steps in flight, on
-// a tiny ring where steps are cheap. It completes only at ~50M steps. The
-// sweep engine is pinned because the event engine skips the idle latency
-// gaps and finishes the same job in milliseconds.
+// linear sum chain on a tiny ring over a reliable link that drops 99.5% of
+// transmissions, so each of its ~1000 hops waits through about two hundred
+// retransmits. The event engine must step through every one of them —
+// there are no idle gaps for it to skip.
 func slowSpec() JobSpec {
 	return JobSpec{
 		Kind:     "sum",
 		N:        500,
 		Topology: "ring:4",
-		Link:     LinkSpec{LinkLatency: 50000},
+		Link:     LinkSpec{LossRate: 0.995, Reliable: true, RetransmitAfter: 8},
 		MaxSteps: 1 << 40,
-		Engine:   "sweep",
 	}
 }
 

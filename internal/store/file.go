@@ -172,6 +172,13 @@ func Open(cfg FileConfig) (*File, error) {
 	if cfg.Telemetry == nil {
 		cfg.Telemetry = telemetry.NewRegistry()
 	}
+	// A writer killed mid-snapshot leaves its uniquely named temp file
+	// behind; under the lock no live writer can own one.
+	if stale, err := filepath.Glob(filepath.Join(cfg.Dir, SnapshotName+".*.tmp")); err == nil {
+		for _, tmp := range stale {
+			_ = os.Remove(tmp) // best effort: a leftover only costs disk
+		}
+	}
 	f := &File{cfg: cfg, mem: NewMemory(cfg.History), lock: lock}
 	f.idle = sync.NewCond(&f.mu)
 	f.registerMetrics()
@@ -503,28 +510,35 @@ func (f *File) compactInline() error {
 
 // writeSnapshot persists snap via tmp-file + fsync + rename + dir sync, so
 // a crash leaves either the old snapshot or the new one, never a torn mix.
+// The temp file's name is unique, so two writers can never share one.
 func writeSnapshot(dir string, snap snapshot) error {
 	data, err := json.Marshal(snap)
 	if err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
-	path := filepath.Join(dir, SnapshotName)
-	tmp := path + ".tmp"
-	w, err := os.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
+	w, err := os.CreateTemp(dir, SnapshotName+".*.tmp")
 	if err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
-	if _, err = w.Write(append(data, '\n')); err == nil {
+	tmp := w.Name()
+	// CreateTemp makes the file 0600; keep the snapshot as readable as the
+	// journal.
+	if err = w.Chmod(0o644); err == nil {
+		_, err = w.Write(append(data, '\n'))
+	}
+	if err == nil {
 		err = w.Sync()
 	}
 	if cerr := w.Close(); err == nil {
 		err = cerr
 	}
-	if err != nil {
-		return fmt.Errorf("store: writing snapshot: %w", err)
+	if err == nil {
+		err = os.Rename(tmp, filepath.Join(dir, SnapshotName))
 	}
-	if err := os.Rename(tmp, path); err != nil {
-		return fmt.Errorf("store: %w", err)
+	if err != nil {
+		// Best effort: the write already failed, and Open sweeps leftovers.
+		_ = os.Remove(tmp)
+		return fmt.Errorf("store: writing snapshot: %w", err)
 	}
 	return syncDir(dir)
 }

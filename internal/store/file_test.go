@@ -12,8 +12,12 @@ import (
 // crash simulates process death for a live handle: the directory lock is
 // released (as the kernel would on exit) but the journal is left unclosed
 // and no records are written. Everything appended before the "crash" is
-// already visible through the kernel.
+// already visible through the kernel. A background compaction in flight is
+// awaited first: a real kill stops that goroutine too, landing either
+// before its snapshot rename or after it, and this models the latter — it
+// must not keep writing into the directory the next Open owns.
 func (f *File) crash() {
+	f.barrier()
 	if f.lock != nil {
 		f.lock.Close()
 		f.lock = nil

@@ -267,3 +267,57 @@ func TestLSNStableAcrossCompactionAndReopen(t *testing.T) {
 		t.Fatalf("lsn after 3 more records = %d, want 15", lsn)
 	}
 }
+
+// TestFeedTailWindow: the feed tail keeps exactly the newest
+// 2×SnapshotEvery records however many appends have cycled through it,
+// within a backing array of twice that bound. Every cursor inside the
+// window pages contiguous records from that LSN; a cursor behind it gets
+// the snapshot bootstrap.
+func TestFeedTailWindow(t *testing.T) {
+	const every = 4
+	keep := int64(2 * every)
+	p := reopen(t, nil, t.TempDir(), FileConfig{SnapshotEvery: every})
+	for cycle := 0; cycle < 30; cycle++ {
+		pump(t, p, 1)
+		p.mu.Lock()
+		lsn, base, n, c := p.lsn, p.baseLSN, int64(len(p.tail)), cap(p.tail)
+		p.mu.Unlock()
+		if want := min(lsn, keep); n != want || base != lsn-n {
+			t.Fatalf("cycle %d: tail holds %d records from base %d at lsn %d, want %d ending at lsn", cycle, n, base, lsn, want)
+		}
+		if c > 2*int(keep) {
+			t.Fatalf("cycle %d: tail backing array holds %d records, want at most %d", cycle, c, 2*keep)
+		}
+		for from := base + 1; from <= lsn; from++ {
+			var page feedPage
+			data, err := p.Feed(from, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := json.Unmarshal(data, &page); err != nil {
+				t.Fatal(err)
+			}
+			if page.Snapshot != nil || int64(len(page.Records)) != lsn-from+1 {
+				t.Fatalf("cycle %d: Feed(%d) = snapshot %v, %d records; want %d records", cycle, from, page.Snapshot != nil, len(page.Records), lsn-from+1)
+			}
+			for i, r := range page.Records {
+				if r.LSN != from+int64(i) {
+					t.Fatalf("cycle %d: Feed(%d) record %d has lsn %d, want %d", cycle, from, i, r.LSN, from+int64(i))
+				}
+			}
+		}
+		if base > 0 {
+			var page feedPage
+			data, err := p.Feed(base, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := json.Unmarshal(data, &page); err != nil {
+				t.Fatal(err)
+			}
+			if page.Snapshot == nil {
+				t.Fatalf("cycle %d: Feed(%d) behind the tail served records, want the snapshot bootstrap", cycle, base)
+			}
+		}
+	}
+}
