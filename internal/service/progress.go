@@ -87,7 +87,7 @@ func NewProgressBroker() *ProgressBroker { return &ProgressBroker{} }
 
 // CountSteps attaches a telemetry counter that receives executed-step
 // deltas on the publish cadence (the service wires this automatically; the
-// bench harness uses it to measure the instrumented path). Call before the
+// flood alloc test uses it to measure the instrumented path). Call before the
 // broker is shared. Returns the broker for chaining.
 func (b *ProgressBroker) CountSteps(c *telemetry.Counter) *ProgressBroker {
 	b.steps = c

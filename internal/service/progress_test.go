@@ -1,11 +1,16 @@
 package service
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 	"time"
 
+	"hypersolve/internal/apps"
+	"hypersolve/internal/mesh"
 	"hypersolve/internal/simulator"
+	"hypersolve/internal/telemetry"
+	"hypersolve/internal/tracelog"
 )
 
 // TestBrokerSlowSubscriberNeverBlocks: a subscriber that never reads must
@@ -185,6 +190,74 @@ func TestObserverThrottle(t *testing.T) {
 	case p := <-ch:
 		t.Fatalf("second snapshot %+v published within the throttle interval", p)
 	default:
+	}
+}
+
+// floodAllocsPerRun measures one 32x32 torus flood's allocations under
+// the given observer with testing.AllocsPerRun. The guard compares these
+// readings rather than benchmark allocs/op, which carry ±1 op of ambient
+// noise (framework allocations divided by an elapsed-time-dependent N):
+// AllocsPerRun runs a fixed count on one proc and floors the mean, while a
+// per-step regression adds thousands per run.
+func floodAllocsPerRun(t *testing.T, obs simulator.Observer) int64 {
+	t.Helper()
+	topo := mesh.MustTorus(32, 32)
+	return int64(testing.AllocsPerRun(100, func() {
+		sim, err := simulator.New(simulator.Config{
+			Topology: topo,
+			Factory:  func(mesh.NodeID) simulator.Handler { return &apps.Traversal{} },
+			Observer: obs,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sim.Inject(0, nil); err != nil {
+			t.Fatal(err)
+		}
+		if !sim.Run().Quiescent {
+			t.Fatal("flood did not quiesce")
+		}
+	}))
+}
+
+// TestObserverAddsNoFloodAllocs guards the solve loop's zero-allocation
+// contract: every job runs under a progress observer, usually with no
+// subscriber, counting steps into telemetry and annotating its trace span.
+// Each of those configurations must allocate exactly what the bare flood
+// does. The observers run on the default (event) engine, the path every
+// job takes.
+//
+// The contract is per step; a publish may allocate (the snapshot, the
+// annotation). How many publishes land inside the measured runs depends
+// on the wall clock, so a slow host (loaded, or under -race) tips the
+// floored reading by one. Each observer's last publish is therefore set
+// an hour ahead: the measured runs are the pure step loop, and a hook
+// that moves out of the throttle still runs, and allocates, per step.
+func TestObserverAddsNoFloodAllocs(t *testing.T) {
+	counter := func() *telemetry.Counter {
+		return telemetry.NewRegistry().Counter("test_sim_steps_total", "test-only step counter")
+	}
+	tr := tracelog.NewTrace(tracelog.TraceContext{})
+	span := tr.StartSpan("run")
+	defer tr.EndSpan(span)
+
+	bare := floodAllocsPerRun(t, nil)
+	t.Logf("bare flood: %d allocs/run", bare)
+	for _, c := range []struct {
+		name string
+		obs  *ProgressObserver
+	}{
+		{"observer", NewProgressBroker().Observer(ObserverHooks{})},
+		{"observer+counter", NewProgressBroker().CountSteps(counter()).Observer(ObserverHooks{})},
+		{"observer+counter+annotate", NewProgressBroker().CountSteps(counter()).
+			Observer(ObserverHooks{Annotate: func(step int64, queued int) {
+				tr.Annotate(span, fmt.Sprintf("step %d, %d queued", step, queued))
+			}})},
+	} {
+		c.obs.lastPub = time.Now().Add(time.Hour)
+		if got := floodAllocsPerRun(t, c.obs); got != bare {
+			t.Errorf("%s: %d allocs/run, want %d (bare flood)", c.name, got, bare)
+		}
 	}
 }
 
